@@ -4,12 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/detail/common.hpp"
-#include "core/detail/scatter.hpp"
-#include "partition/binning.hpp"
-#include "partition/load.hpp"
-#include "sched/critical_path.hpp"
-#include "sched/dag_scheduler.hpp"
+#include "core/detail/point_decomposition.hpp"
 #include "util/env.hpp"
 
 namespace stkde::core {
@@ -24,6 +19,9 @@ void AdaptiveParams::validate(std::size_t n_points) const {
   if (!(ht > 0.0)) throw std::invalid_argument("AdaptiveParams: ht must be > 0");
   if (threads < 0)
     throw std::invalid_argument("AdaptiveParams: threads must be >= 0");
+  if (decomp.a < 1 || decomp.b < 1 || decomp.c < 1)
+    throw std::invalid_argument(
+        "AdaptiveParams: decomposition parts must be >= 1");
 }
 
 std::string to_string(AdaptiveStrategy s) {
@@ -121,81 +119,49 @@ Result run_sequential(const PointSet& pts, const DomainSpec& dom,
   return res;
 }
 
+// Stamp policy (detail/point_decomposition.hpp): scatter_sym with per-point
+// hs_i, Hs_i, scale_i. The PD rule uses the *maximum* bandwidth: same-colored
+// subdomains are >= 2 max_Hs apart, so even the widest cylinders never meet.
+class AdaptiveStamp {
+ public:
+  struct Worker {
+    kernels::SpatialInvariant ks;
+    kernels::TemporalInvariant kt;
+  };
+
+  AdaptiveStamp(const AdaptiveSetup& s, const AdaptiveParams& p)
+      : s_(s), p_(p) {}
+
+  [[nodiscard]] std::int32_t max_Hs() const { return s_.max_Hs; }
+  [[nodiscard]] std::int32_t Ht() const { return s_.Ht; }
+  [[nodiscard]] double load(std::size_t i) const {
+    const double side = 2.0 * s_.Hs[i] + 1.0;
+    return side * side * (2.0 * s_.Ht + 1.0);
+  }
+  [[nodiscard]] Worker worker() const { return {}; }
+
+  template <kernels::SeparableKernel K, typename T>
+  void stamp(Worker& w, const K& k, DenseGrid3<T>& target, const Extent3& clip,
+             const Point& pt, std::size_t i, detail::LaneStats& lanes) const {
+    if (detail::scatter_sym(target, clip, s_.map, k, pt, p_.hs[i], p_.ht,
+                            s_.Hs[i], s_.Ht, s_.scale[i], w.ks, w.kt))
+      lanes.add_table(w.ks);
+  }
+
+ private:
+  const AdaptiveSetup& s_;
+  const AdaptiveParams& p_;
+};
+
 Result run_pd_sched(const PointSet& pts, const DomainSpec& dom,
                     const AdaptiveParams& p) {
   const AdaptiveSetup s(pts, dom, p);
-  const int P = p.threads > 0 ? p.threads : util::hardware_threads();
-  Result res;
-  res.diag.algorithm = to_string(AdaptiveStrategy::kPDSched);
-
-  // The PD safety rule generalizes with the *maximum* bandwidth: two points
-  // in same-colored subdomains are at least 2 max_Hs apart, so even the
-  // widest cylinders cannot overlap.
-  const Decomposition dec =
-      Decomposition::clamped(s.map.dims(), p.decomp, s.max_Hs, s.Ht);
-  res.diag.decomposition = dec.to_string();
-  res.diag.subdomains = dec.count();
-
-  PointBins bins;
-  {
-    util::ScopedPhase bin(res.phases, phase::kBin);
-    bins = bin_by_owner(pts, s.map, dec);
-  }
-  // Task loads: adaptive cylinders vary per point, so weigh by volume.
-  std::vector<double> loads(static_cast<std::size_t>(dec.count()), 0.0);
-  for (std::size_t v = 0; v < loads.size(); ++v)
-    for (const std::uint32_t i : bins.bins[v]) {
-      const double side = 2.0 * s.Hs[i] + 1.0;
-      loads[v] += side * side * (2.0 * s.Ht + 1.0);
-    }
-
-  const sched::StencilGraph g = sched::StencilGraph::of(dec);
-  sched::Coloring col;
-  {
-    util::ScopedPhase plan(res.phases, phase::kPlan);
-    col = sched::greedy_coloring(g, p.order, loads);
-    const sched::DagMetrics m = sched::critical_path(g, col, loads);
-    res.diag.num_colors = col.num_colors;
-    res.diag.total_work = m.total_work;
-    res.diag.critical_path = m.critical_path;
-    res.diag.load_imbalance = imbalance(loads).imbalance;
-  }
-  {
-    util::ScopedPhase init(res.phases, phase::kInit);
-    res.grid.allocate(s.map.dims());
-    res.grid.fill_parallel(0.0f, P);
-  }
-  util::ScopedPhase compute(res.phases, phase::kCompute);
-  const Extent3 whole = Extent3::whole(s.map.dims());
-  detail::with_kernel(p.kernel, [&](const auto& k) {
-    sched::DagScheduler dag;
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      dag.add_task(
-          [&, v] {
-            kernels::SpatialInvariant ks;
-            kernels::TemporalInvariant kt;
-            for (const std::uint32_t i :
-                 bins.bins[static_cast<std::size_t>(v)])
-              detail::scatter_sym(res.grid, whole, s.map, k, pts[i], p.hs[i],
-                                  p.ht, s.Hs[i], s.Ht, s.scale[i], ks, kt);
-          },
-          loads[static_cast<std::size_t>(v)]);
-    }
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(static_cast<std::size_t>(v),
-                       static_cast<std::size_t>(u));
-      });
-    }
-    dag.run(P);
-    res.diag.task_seconds.resize(dag.task_count());
-    for (std::size_t i = 0; i < dag.task_count(); ++i)
-      res.diag.task_seconds[i] =
-          dag.finish_times()[i] - dag.start_times()[i];
-  });
-  return res;
+  AdaptiveStamp stamp(s, p);
+  return detail::run_point_decomposition(
+      pts, s.map, p.kernel, stamp,
+      {to_string(AdaptiveStrategy::kPDSched), Algorithm::kPBSymPDSched,
+       p.decomp, p.order, {},
+       p.threads > 0 ? p.threads : util::hardware_threads()});
 }
 
 }  // namespace

@@ -60,19 +60,13 @@ namespace stkde::core {
 [[nodiscard]] Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
                                    const Params& p);
 
-/// Point decomposition (Algorithm 6): owner binning + 8 parity phases.
+/// Point decomposition (§5): owner binning + a conflict-free DAG of
+/// subdomains (detail/point_decomposition.hpp). \p variant selects the
+/// coloring and replication: kPBSymPD (Algorithm 6's 8 parity phases),
+/// kPBSymPDSched (load-aware greedy coloring + DAG list scheduling),
+/// kPBSymPDRep / kPBSymPDSchedRep (critical-path replication with natural /
+/// load-aware coloring, the SCHED-REP combination of Fig. 15).
 [[nodiscard]] Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
-                                   const Params& p);
-
-/// PD + greedy load-aware coloring + DAG list scheduling (§5.2).
-[[nodiscard]] Result run_pb_sym_pd_sched(const PointSet& pts,
-                                         const DomainSpec& dom,
-                                         const Params& p);
-
-/// PD + critical-path replication (§5.2). \p use_sched_coloring selects the
-/// SCHED-REP combination reported in Fig. 15.
-[[nodiscard]] Result run_pb_sym_pd_rep(const PointSet& pts,
-                                       const DomainSpec& dom, const Params& p,
-                                       bool use_sched_coloring);
+                                   const Params& p, Algorithm variant);
 
 }  // namespace stkde::core

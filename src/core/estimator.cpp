@@ -27,13 +27,10 @@ Result Estimator::run(const PointSet& points, const DomainSpec& dom) const {
     case Algorithm::kPBSymDD:
       return core::run_pb_sym_dd(points, dom, params_);
     case Algorithm::kPBSymPD:
-      return core::run_pb_sym_pd(points, dom, params_);
     case Algorithm::kPBSymPDSched:
-      return core::run_pb_sym_pd_sched(points, dom, params_);
     case Algorithm::kPBSymPDRep:
-      return core::run_pb_sym_pd_rep(points, dom, params_, false);
     case Algorithm::kPBSymPDSchedRep:
-      return core::run_pb_sym_pd_rep(points, dom, params_, true);
+      return core::run_pb_sym_pd(points, dom, params_, algorithm_);
   }
   throw std::invalid_argument("Estimator: unknown algorithm");
 }

@@ -28,8 +28,11 @@ struct Diagnostics {
   std::int64_t subdomains = 0;
   double replication_factor = 1.0;  ///< DD bin entries / n; REP task copies
   std::int32_t num_colors = 0;      ///< coloring size (PD family)
-  double total_work = 0.0;          ///< T1 from task loads (PD family)
-  double critical_path = 0.0;       ///< Tinf from task loads (PD family)
+  /// T1 and Tinf from task loads (PD family, including weighted/adaptive
+  /// PD-SCHED), in cylinder voxels: each point costs (2Hs_i+1)²(2Ht+1).
+  /// REP's Tinf is after replication and counts halo init + reduce voxels.
+  double total_work = 0.0;
+  double critical_path = 0.0;
   double load_imbalance = 1.0;      ///< max/mean of per-task loads
   std::uint64_t extra_bytes = 0;    ///< replica/buffer memory beyond the grid
 
@@ -40,9 +43,9 @@ struct Diagnostics {
   std::int64_t span_cells = 0;     ///< cells covered by per-row Y-spans
   std::int64_t table_nonzero = 0;  ///< cells strictly inside the disk
 
-  /// Invariant-table cache counters (PB-TILE, the cached DD/PD family, and
-  /// the streaming batch path; 0/0 for strategies that fill tables
-  /// directly).
+  /// Invariant-table cache counters (PB-TILE, the cached DD/PD family
+  /// including weighted PD-SCHED, and the streaming batch path; 0/0 for
+  /// strategies that fill tables directly, e.g. adaptive PD-SCHED).
   std::int64_t table_lookups = 0;  ///< cache probes (one per point-tile stamp)
   std::int64_t table_fills = 0;    ///< probes that had to compute a table
 
@@ -76,8 +79,10 @@ struct Diagnostics {
                : 0.0;
   }
 
-  /// Measured per-task compute seconds (PD/DD family; indexed by flat
-  /// subdomain id, or by expanded task id for REP). Feeds the speedup
+  /// Measured per-task compute seconds (PD/DD family). Indexed by flat
+  /// subdomain id; for PD-REP/PD-SCHED-REP by expanded DAG task id (a
+  /// replicated subdomain's replica tasks, then its reduce task). PD's
+  /// zero-work phase-join tasks are not included. Feeds the speedup
   /// simulator in the bench harness.
   std::vector<double> task_seconds;
 };

@@ -1,16 +1,9 @@
 #include "core/weighted.hpp"
 
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
-#include "core/detail/common.hpp"
-#include "core/detail/scatter.hpp"
-#include "partition/binning.hpp"
-#include "partition/load.hpp"
-#include "sched/critical_path.hpp"
-#include "sched/dag_scheduler.hpp"
-#include "util/env.hpp"
+#include "core/detail/point_decomposition.hpp"
 
 namespace stkde::core {
 
@@ -108,76 +101,15 @@ Result run_sequential(const PointSet& pts, const std::vector<double>& w,
 Result run_pd_sched(const PointSet& pts, const std::vector<double>& w,
                     double wsum, const DomainSpec& dom, const Params& p) {
   const VoxelMapper map(dom);
-  const std::int32_t Hs = dom.spatial_bandwidth_voxels(p.hs);
-  const std::int32_t Ht = dom.temporal_bandwidth_voxels(p.ht);
-  const int P = p.resolved_threads();
-  Result res;
-  res.diag.algorithm = to_string(WeightedStrategy::kPDSched);
-
-  const Decomposition dec = Decomposition::clamped(map.dims(), p.decomp, Hs, Ht);
-  res.diag.decomposition = dec.to_string();
-  res.diag.subdomains = dec.count();
-
-  PointBins bins;
-  {
-    util::ScopedPhase bin(res.phases, phase::kBin);
-    bins = bin_by_owner(pts, map, dec);
-  }
-  // Task loads weigh each point by its multiplicity surrogate: the cost of
-  // scattering is bandwidth-determined, but weight-0 points are skipped, so
-  // load = count of positive-weight points.
-  std::vector<double> loads(static_cast<std::size_t>(dec.count()), 0.0);
-  for (std::size_t v = 0; v < loads.size(); ++v)
-    for (const std::uint32_t i : bins.bins[v])
-      if (w[i] > 0.0) loads[v] += 1.0;
-
-  const sched::StencilGraph g = sched::StencilGraph::of(dec);
-  sched::Coloring col;
-  {
-    util::ScopedPhase plan(res.phases, phase::kPlan);
-    col = sched::greedy_coloring(g, p.order, loads);
-    const sched::DagMetrics m = sched::critical_path(g, col, loads);
-    res.diag.num_colors = col.num_colors;
-    res.diag.total_work = m.total_work;
-    res.diag.critical_path = m.critical_path;
-    res.diag.load_imbalance = imbalance(loads).imbalance;
-  }
-  {
-    util::ScopedPhase init(res.phases, phase::kInit);
-    res.grid.allocate(map.dims());
-    res.grid.fill_parallel(0.0f, P);
-  }
-  if (wsum <= 0.0) return res;
-  util::ScopedPhase compute(res.phases, phase::kCompute);
-  const Extent3 whole = Extent3::whole(map.dims());
-  const double base = 1.0 / (wsum * p.hs * p.hs * p.ht);
-  detail::with_kernel(p.kernel, [&](const auto& k) {
-    sched::DagScheduler dag;
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      dag.add_task(
-          [&, v] {
-            kernels::SpatialInvariant ks;
-            kernels::TemporalInvariant kt;
-            for (const std::uint32_t i :
-                 bins.bins[static_cast<std::size_t>(v)]) {
-              if (w[i] == 0.0) continue;
-              detail::scatter_sym(res.grid, whole, map, k, pts[i], p.hs, p.ht,
-                                  Hs, Ht, base * w[i], ks, kt);
-            }
-          },
-          loads[static_cast<std::size_t>(v)]);
-    }
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(static_cast<std::size_t>(v),
-                       static_cast<std::size_t>(u));
-      });
-    }
-    dag.run(P);
-  });
-  return res;
+  // Point i stamps at base·w_i; zero-weight points are skipped (load 0),
+  // so W == 0 gives an all-zero grid.
+  const double base = wsum > 0.0 ? 1.0 / (wsum * p.hs * p.hs * p.ht) : 0.0;
+  detail::FixedStamp stamp(map, p, dom.spatial_bandwidth_voxels(p.hs),
+                           dom.temporal_bandwidth_voxels(p.ht), base, &w);
+  return detail::run_point_decomposition(
+      pts, map, p.kernel, stamp,
+      {to_string(WeightedStrategy::kPDSched), Algorithm::kPBSymPDSched,
+       p.decomp, p.order, p.rep, p.resolved_threads()});
 }
 
 }  // namespace

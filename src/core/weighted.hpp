@@ -20,7 +20,8 @@ namespace stkde::core {
 enum class WeightedStrategy {
   kReference,  ///< voxel-based (tests only)
   kSequential, ///< PB-SYM with per-point weighted scale
-  kPDSched,    ///< point decomposition + DAG scheduling, loads = weights
+  kPDSched,    ///< point decomposition + DAG scheduling; a task's load is
+               ///< its positive-weight points × (2Hs+1)²(2Ht+1) voxels
 };
 
 [[nodiscard]] std::string to_string(WeightedStrategy s);

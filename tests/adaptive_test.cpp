@@ -125,6 +125,12 @@ TEST(Adaptive, ValidatesInput) {
   EXPECT_THROW(
       run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential),
       std::invalid_argument);
+  // Params::validate rejects the same decomposition.
+  p.ht = 1.0;
+  p.decomp = {0, 4, 4};
+  EXPECT_THROW(
+      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kPDSched),
+      std::invalid_argument);
 }
 
 TEST(Adaptive, EmptyPointSet) {
@@ -146,6 +152,8 @@ TEST(Adaptive, DiagnosticsFilled) {
   EXPECT_GT(r.diag.subdomains, 0);
   EXPECT_GE(r.diag.num_colors, 1);
   EXPECT_GT(r.phases.seconds(phase::kCompute), 0.0);
+  EXPECT_EQ(r.diag.task_seconds.size(),
+            static_cast<std::size_t>(r.diag.subdomains));
 }
 
 TEST(Adaptive, StrategyNames) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive.hpp"
+#include "core/weighted.hpp"
 #include "helpers.hpp"
 
 namespace stkde {
@@ -174,12 +176,74 @@ TEST(ThreadCounts, MoreThreadsThanTasksIsFine) {
 }
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
+  // The PD family orders every pair of tasks that can write one voxel, so
+  // each voxel accumulates in one fixed order: repeated runs and any P give
+  // the same bits. The hot-spot instance puts all mass in one subdomain, so
+  // the REP variants really replicate (replica buffers + reduce tasks).
+  TinyInstance tiny = make_tiny(120, 3, 2);
+  TinyInstance hot = make_tiny(1, 2, 1);
+  hot.points = data::generate_degenerate(hot.domain, 400);
+  hot.params.decomp = {4, 4, 4};
+  hot.params.threads = 4;
+  for (const TinyInstance* t : {&tiny, &hot}) {
+    for (const Algorithm a :
+         {Algorithm::kPBSym, Algorithm::kPBSymDD, Algorithm::kPBSymPD,
+          Algorithm::kPBSymPDSched, Algorithm::kPBSymPDRep,
+          Algorithm::kPBSymPDSchedRep}) {
+      const Result r1 = estimate(t->points, t->domain, t->params, a);
+      const Result r2 = estimate(t->points, t->domain, t->params, a);
+      EXPECT_DOUBLE_EQ(r1.grid.max_abs_diff(r2.grid), 0.0) << to_string(a);
+      if (t == &hot && (a == Algorithm::kPBSymPDRep ||
+                        a == Algorithm::kPBSymPDSchedRep)) {
+        EXPECT_GT(r1.diag.replication_factor, 1.0) << to_string(a);
+      }
+    }
+  }
+}
+
+TEST(Determinism, PointDecompositionIsThreadCountInvariant) {
   TinyInstance t = make_tiny(120, 3, 2);
-  for (const Algorithm a :
-       {Algorithm::kPBSym, Algorithm::kPBSymDD, Algorithm::kPBSymPDSched}) {
-    const Result r1 = estimate(t.points, t.domain, t.params, a);
-    const Result r2 = estimate(t.points, t.domain, t.params, a);
-    EXPECT_DOUBLE_EQ(r1.grid.max_abs_diff(r2.grid), 0.0) << to_string(a);
+  t.params.decomp = {4, 4, 2};
+  for (const Algorithm a : {Algorithm::kPBSymPD, Algorithm::kPBSymPDSched}) {
+    t.params.threads = 1;
+    const Result serial = estimate(t.points, t.domain, t.params, a);
+    for (const int P : {2, 4}) {
+      t.params.threads = P;
+      const Result r = estimate(t.points, t.domain, t.params, a);
+      EXPECT_DOUBLE_EQ(r.grid.max_abs_diff(serial.grid), 0.0)
+          << to_string(a) << " P=" << P;
+    }
+  }
+}
+
+TEST(Determinism, WeightedAndAdaptivePdSchedAreBitIdentical) {
+  TinyInstance t = make_tiny(120, 3, 2);
+  t.params.decomp = {4, 4, 2};
+  std::vector<double> w(t.points.size());
+  for (std::size_t i = 0; i < w.size(); ++i)
+    w[i] = static_cast<double>(i % 4);  // includes zero weights
+  core::AdaptiveParams ap;
+  ap.hs.resize(t.points.size());
+  for (std::size_t i = 0; i < ap.hs.size(); ++i)
+    ap.hs[i] = 1.5 + static_cast<double>(i % 3);
+  ap.ht = 2.0;
+  ap.decomp = t.params.decomp;
+  std::vector<DensityGrid> weighted, adaptive;
+  for (const int P : {1, 1, 2, 4}) {
+    t.params.threads = P;
+    ap.threads = P;
+    weighted.push_back(core::run_weighted(t.points, w, t.domain, t.params,
+                                          core::WeightedStrategy::kPDSched)
+                           .grid);
+    adaptive.push_back(core::run_adaptive(t.points, t.domain, ap,
+                                          core::AdaptiveStrategy::kPDSched)
+                           .grid);
+  }
+  EXPECT_GT(weighted[0].max_value(), 0.0f);
+  EXPECT_GT(adaptive[0].max_value(), 0.0f);
+  for (std::size_t i = 1; i < weighted.size(); ++i) {
+    EXPECT_DOUBLE_EQ(weighted[i].max_abs_diff(weighted[0]), 0.0) << i;
+    EXPECT_DOUBLE_EQ(adaptive[i].max_abs_diff(adaptive[0]), 0.0) << i;
   }
 }
 

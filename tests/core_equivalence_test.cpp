@@ -222,17 +222,21 @@ TEST_P(ScatterCoreRefTest, ClippedSubdomainAccumulationMatchesScalarReference) {
 TEST_P(ScatterCoreRefTest, SpanStatisticsAreReportedAndConsistent) {
   TinyInstance t = make_tiny(80, 4, 2);
   t.params.kernel = kernels::kernel_by_name(GetParam());
-  const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);
-  // Every point lands inside the tiny domain, so tables were filled.
-  EXPECT_GT(r.diag.table_cells, 0);
-  EXPECT_GE(r.diag.table_cells, r.diag.span_cells);
-  EXPECT_GE(r.diag.span_cells, r.diag.table_nonzero);
-  EXPECT_GT(r.diag.table_nonzero, 0);
-  // The span layout must skip a meaningful corner fraction for Hs >= 4
-  // (full square minus disk is ~21% as Hs grows).
-  EXPECT_GT(r.diag.skipped_lane_fraction(), 0.05);
-  EXPECT_GE(r.diag.wasted_lane_fraction(), 0.0);
-  EXPECT_LT(r.diag.wasted_lane_fraction(), 0.5);
+  for (const Algorithm a :
+       {Algorithm::kPBSym, Algorithm::kPBSymPD, Algorithm::kPBSymPDSched,
+        Algorithm::kPBSymPDRep, Algorithm::kPBSymPDSchedRep}) {
+    const Result r = estimate(t.points, t.domain, t.params, a);
+    // Every point lands inside the tiny domain, so tables were filled.
+    EXPECT_GT(r.diag.table_cells, 0) << to_string(a);
+    EXPECT_GE(r.diag.table_cells, r.diag.span_cells) << to_string(a);
+    EXPECT_GE(r.diag.span_cells, r.diag.table_nonzero) << to_string(a);
+    EXPECT_GT(r.diag.table_nonzero, 0) << to_string(a);
+    // The span layout must skip a meaningful corner fraction for Hs >= 4
+    // (full square minus disk is ~21% as Hs grows).
+    EXPECT_GT(r.diag.skipped_lane_fraction(), 0.05) << to_string(a);
+    EXPECT_GE(r.diag.wasted_lane_fraction(), 0.0) << to_string(a);
+    EXPECT_LT(r.diag.wasted_lane_fraction(), 0.5) << to_string(a);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

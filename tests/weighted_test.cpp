@@ -66,6 +66,9 @@ TEST(Weighted, PdSchedMatchesReference) {
                                     WeightedStrategy::kPDSched);
     EXPECT_LE(par.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid))
         << d.to_string();
+    EXPECT_EQ(par.diag.task_seconds.size(),
+              static_cast<std::size_t>(par.diag.subdomains));
+    EXPECT_GT(par.diag.table_lookups, 0);
   }
 }
 
