@@ -65,17 +65,19 @@ void BM_GridFillParallel(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * g.bytes());
 }
 
-void BM_ReduceReplicas(benchmark::State& state) {
+void BM_ReduceTouchedBlocks(benchmark::State& state) {
+  // Every block touched: the block-sparse reduce's dense worst case.
   const auto replicas = static_cast<std::size_t>(state.range(0));
   DenseGrid3<float> dst(GridDims{kN, kN, kN});
   dst.fill(0.0f);
-  std::vector<DenseGrid3<float>> reps;
-  for (std::size_t i = 0; i < replicas; ++i) {
-    reps.emplace_back(GridDims{kN, kN, kN});
-    reps.back().fill(1.0f);
+  std::vector<SparseReplica<float>> reps(replicas);
+  for (auto& r : reps) {
+    r.allocate(GridDims{kN, kN, kN});
+    r.touch(Extent3::whole(GridDims{kN, kN, kN}));
   }
+  const std::int64_t blocks = reps.empty() ? 0 : reps.front().blocks();
   for (auto _ : state) {
-    reduce_replicas(dst, reps, 1);
+    reduce_touched_blocks(dst, reps, 0, blocks);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(state.iterations() * dst.bytes() * replicas);
@@ -87,4 +89,4 @@ BENCHMARK(BM_AccumulateTInnermost);
 BENCHMARK(BM_AccumulateTOutermost);
 BENCHMARK(BM_GridFill);
 BENCHMARK(BM_GridFillParallel)->Arg(1)->Arg(4);
-BENCHMARK(BM_ReduceReplicas)->Arg(2)->Arg(8);
+BENCHMARK(BM_ReduceTouchedBlocks)->Arg(2)->Arg(8);

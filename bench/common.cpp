@@ -213,7 +213,7 @@ void print_banner(const std::string& title, const BenchEnv& env) {
             << util::format_bytes(util::MemoryBudget::instance().limit())
             << " memory budget\n"
             << "scaling: " << env.describe() << "\n"
-            << "(see EXPERIMENTS.md for the paper-vs-measured comparison)\n"
+            << "(see docs/BENCHMARKS.md for the paper artifact and expected shape)\n"
             << "==================================================================\n";
 }
 

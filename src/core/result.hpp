@@ -34,7 +34,9 @@ struct Diagnostics {
   double total_work = 0.0;
   double critical_path = 0.0;
   double load_imbalance = 1.0;      ///< max/mean of per-task loads
-  std::uint64_t extra_bytes = 0;    ///< replica/buffer memory beyond the grid
+  /// Replica/buffer memory beyond the grid. For DR, the replica memory
+  /// actually materialized: touched blocks x block bytes, over all replicas.
+  std::uint64_t extra_bytes = 0;
 
   /// Scatter-core lane statistics (docs/SCATTER_CORE.md), summed over every
   /// spatial-invariant table the run filled (DD/PD refills per (point,

@@ -1,39 +1,28 @@
 #include "grid/reduction.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <stdexcept>
 
 namespace stkde {
 
 template <typename T>
-void reduce_replicas(DenseGrid3<T>& dst,
-                     const std::vector<DenseGrid3<T>>& replicas, int threads) {
-  bool any_padded = dst.padded();
-  for (const auto& r : replicas) {
-    if (!(r.extent() == dst.extent()))
-      throw std::invalid_argument("reduce_replicas: extent mismatch");
-    any_padded = any_padded || r.padded();
-  }
-  if (any_padded) {
-    // Row-aware fallback: padded T-rows make the flat walk read alignment
-    // padding. Replica reduction is used by DR, whose replicas are packed,
-    // so this path is cold.
-    for (const auto& r : replicas) accumulate_buffer(dst, r);
-    return;
-  }
+void reduce_touched_blocks(DenseGrid3<T>& dst,
+                           const std::vector<SparseReplica<T>>& replicas,
+                           std::int64_t block_lo, std::int64_t block_hi) {
+  if (dst.padded())
+    throw std::invalid_argument("reduce_touched_blocks: padded destination");
+  for (const auto& r : replicas)
+    if (!(r.grid().extent() == dst.extent()))
+      throw std::invalid_argument("reduce_touched_blocks: extent mismatch");
+  constexpr std::int64_t kBlock = SparseReplica<T>::kBlock;
   T* const out = dst.data();
   const std::int64_t n = dst.size();
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-  {
-    const int nt = omp_get_num_threads();
-    const int id = omp_get_thread_num();
-    const std::int64_t chunk = (n + nt - 1) / nt;
-    const std::int64_t lo = std::min<std::int64_t>(n, id * chunk);
-    const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
+  for (std::int64_t b = block_lo; b < block_hi; ++b) {
+    const std::int64_t lo = b * kBlock;
+    const std::int64_t hi = std::min(n, lo + kBlock);
     for (const auto& r : replicas) {
-      const T* const in = r.data();
+      if (!r.touched(b)) continue;
+      const T* const in = r.grid().data();
       for (std::int64_t i = lo; i < hi; ++i) out[i] += in[i];
     }
   }
@@ -53,11 +42,9 @@ void accumulate_buffer(DenseGrid3<T>& dst, const DenseGrid3<T>& src) {
   }
 }
 
-template void reduce_replicas<float>(DenseGrid3<float>&,
-                                     const std::vector<DenseGrid3<float>>&, int);
-template void reduce_replicas<double>(DenseGrid3<double>&,
-                                      const std::vector<DenseGrid3<double>>&,
-                                      int);
+template void reduce_touched_blocks<float>(
+    DenseGrid3<float>&, const std::vector<SparseReplica<float>>&, std::int64_t,
+    std::int64_t);
 template void accumulate_buffer<float>(DenseGrid3<float>&,
                                        const DenseGrid3<float>&);
 template void accumulate_buffer<double>(DenseGrid3<double>&,

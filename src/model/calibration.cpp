@@ -60,7 +60,7 @@ MachineProfile calibrate(std::uint64_t budget_bytes) {
     for (auto& r : reps) r.fill(1.0f);
     m.reduce_bytes_per_sec = measure_rate(
         static_cast<double>(dst.bytes()) * 2, 0.02,
-        [&] { reduce_replicas(dst, reps, 1); });
+        [&] { for (const auto& r : reps) accumulate_buffer(dst, r); });
   }
 
   // --- PB-SYM scatter throughput (cylinder voxels / s) --------------------

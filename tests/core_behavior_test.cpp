@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/adaptive.hpp"
+#include "core/detail/common.hpp"
+#include "core/detail/scatter.hpp"
 #include "core/weighted.hpp"
+#include "grid/reduction.hpp"
 #include "helpers.hpp"
 
 namespace stkde {
@@ -187,8 +192,8 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
   hot.params.threads = 4;
   for (const TinyInstance* t : {&tiny, &hot}) {
     for (const Algorithm a :
-         {Algorithm::kPBSym, Algorithm::kPBSymDD, Algorithm::kPBSymPD,
-          Algorithm::kPBSymPDSched, Algorithm::kPBSymPDRep,
+         {Algorithm::kPBSym, Algorithm::kPBSymDR, Algorithm::kPBSymDD,
+          Algorithm::kPBSymPD, Algorithm::kPBSymPDSched, Algorithm::kPBSymPDRep,
           Algorithm::kPBSymPDSchedRep}) {
       const Result r1 = estimate(t->points, t->domain, t->params, a);
       const Result r2 = estimate(t->points, t->domain, t->params, a);
@@ -196,6 +201,77 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
       if (t == &hot && (a == Algorithm::kPBSymPDRep ||
                         a == Algorithm::kPBSymPDSchedRep)) {
         EXPECT_GT(r1.diag.replication_factor, 1.0) << to_string(a);
+      }
+    }
+  }
+}
+
+// Algorithm 4 with dense replicas: each zero-filled, the same static
+// (n+P-1)/P point chunks, scatter_sym, summed into a zeroed grid in thread
+// order 0..P-1. PB-SYM-DR's block-sparse replicas must give these bits.
+DensityGrid dense_dr_reference(const TinyInstance& t, int P) {
+  const core::detail::RunSetup s(t.points, t.domain, t.params);
+  const GridDims d = s.map.dims();
+  const Extent3 whole = Extent3::whole(d);
+  const auto n = static_cast<std::int64_t>(t.points.size());
+  const std::int64_t chunk = (n + P - 1) / P;
+  DensityGrid out(d);
+  out.fill(0.0f);
+  core::detail::with_kernel(t.params.kernel, [&](const auto& k) {
+    kernels::SpatialInvariant ks;
+    kernels::TemporalInvariant kt;
+    for (std::int64_t c = 0; c < P; ++c) {
+      DensityGrid rep(d);
+      rep.fill(0.0f);
+      const std::int64_t lo = std::min(n, c * chunk), hi = std::min(n, lo + chunk);
+      for (std::int64_t i = lo; i < hi; ++i)
+        core::detail::scatter_sym(rep, whole, s.map, k,
+                                  t.points[static_cast<std::size_t>(i)], t.params.hs,
+                                  t.params.ht, s.Hs, s.Ht, s.scale, ks, kt);
+      for (std::int64_t j = 0; j < out.size(); ++j) out.data()[j] += rep.data()[j];
+    }
+  });
+  return out;
+}
+
+TEST(Determinism, DrMatchesDenseReplicaReference) {
+  TinyInstance tiny = make_tiny(400, 3, 2);  // T-rows shorter than a block
+  TinyInstance long_rows = make_tiny(1, 1, 2);  // T-rows longer than a block
+  long_rows.domain = DomainSpec{0.0, 0.0, 0.0, 30.0, 20.0, 700.0, 1.0, 1.0};
+  data::ClusterConfig cfg;
+  cfg.n_points = 300;
+  cfg.seed = 3;
+  long_rows.points = data::generate_clustered(long_rows.domain, cfg);
+  TinyInstance hot = make_tiny(1, 2, 1);
+  hot.points = data::generate_degenerate(hot.domain, 400);
+  TinyInstance none = make_tiny(1, 3, 2);
+  none.points.clear();
+  TinyInstance few = make_tiny(3, 3, 2);  // n < P for P >= 4
+  const std::vector<std::pair<const char*, TinyInstance*>> cases{
+      {"tiny", &tiny}, {"long_rows", &long_rows}, {"hot", &hot},
+      {"n=0", &none}, {"n<P", &few}};
+  // Two rounds: the second reuses the first's freed, non-zero replicas, so
+  // a block read before its first-touch zeroing shows up as wrong bits.
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [name, t] : cases) {
+      for (const int P : {1, 2, 3, 4, 7}) {
+        t->params.threads = P;
+        const Result r = estimate(t->points, t->domain, t->params, Algorithm::kPBSymDR);
+        const DensityGrid ref = dense_dr_reference(*t, P);
+        ASSERT_TRUE(r.grid.extent() == ref.extent());
+        EXPECT_EQ(std::memcmp(r.grid.data(), ref.data(), ref.bytes()), 0)
+            << name << " P=" << P << " round " << round;
+        const auto blocks = static_cast<std::uint64_t>(
+            (ref.size() + SparseReplica<float>::kBlock - 1) / SparseReplica<float>::kBlock);
+        EXPECT_LE(r.diag.extra_bytes, static_cast<std::uint64_t>(P) * blocks *
+                                          SparseReplica<float>::kBlock * sizeof(float))
+            << name << " P=" << P;
+        if (t->points.empty()) {
+          EXPECT_EQ(r.diag.extra_bytes, 0U) << name << " P=" << P;
+        } else {
+          EXPECT_GT(ref.max_value(), 0.0f) << name;
+          EXPECT_GT(r.diag.extra_bytes, 0U) << name << " P=" << P;
+        }
       }
     }
   }
